@@ -378,6 +378,21 @@ func (ix *Index) Doc(id int) *Document {
 	return ix.docs[id]
 }
 
+// eachDoc calls fn for every stored document want selects, in ID order —
+// Doc over the whole ID space, except that a mapped index inflates each
+// stored chunk once rather than once per document.
+func (ix *Index) eachDoc(want func(id int) bool, fn func(id int, d *Document)) {
+	if m := ix.mapped; m != nil {
+		m.eachStoredDoc(want, fn)
+		return
+	}
+	for id, d := range ix.docs {
+		if want(id) {
+			fn(id, d)
+		}
+	}
+}
+
 // FieldNames returns the indexed field names, sorted.
 func (ix *Index) FieldNames() []string {
 	out := make([]string, 0, len(ix.fields))

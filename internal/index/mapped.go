@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -73,8 +75,9 @@ type mappedIndex struct {
 	// (and fully bounds-validated) at open: documents per chunk, and
 	// chunkOffs[c] as the offset of chunk c's u64 length prefix in raw,
 	// with a final sentinel at len(raw). The compressed bytes stay in the
-	// mapped region; Doc inflates one chunk transiently to decode one
-	// document, so serving stored fields never pins the region in heap.
+	// mapped region; Doc inflates one chunk, as far as the document it
+	// decodes, into a pooled buffer, so serving stored fields never pins
+	// the region in heap.
 	chunkDocs int
 	chunkOffs []int
 	// docCache holds decoded documents by docID — populated only for
@@ -196,6 +199,16 @@ func (r *byteReader) str() string {
 	s := string(r.b[r.pos : r.pos+int(n)])
 	r.pos += int(n)
 	return s
+}
+
+// skipStr advances past a u32-length-prefixed string without copying it.
+func (r *byteReader) skipStr() {
+	n := r.u32()
+	if r.bad || n > 1<<26 || r.pos+int(n) > len(r.b) {
+		r.fail()
+		return
+	}
+	r.pos += int(n)
 }
 
 // vstr reads a uvarint-length-prefixed string (the TOC's string shape).
@@ -896,28 +909,139 @@ func (ix *Index) DocMeta(id int, name string) string {
 
 // storedDocAt returns one stored document: from the cache if it was
 // served before, otherwise by inflating its chunk from the mapped region
-// (transiently — the decompressed bytes are garbage after the decode)
-// and decoding the one document out of it. Returns nil on structural
-// corruption inside the chunk (impossible on a CRC-verified file; the
-// parse stays defensive anyway). id is in [0, numDocs).
+// into a pooled buffer — only as far as the document's end — skipping
+// the documents before it and decoding the one document (its strings are
+// copied out, so nothing the cache holds aliases pooled memory). Returns
+// nil on structural corruption inside the chunk (impossible on a
+// CRC-verified file; the parse stays defensive anyway). id is in
+// [0, numDocs).
 func (m *mappedIndex) storedDocAt(id int) *Document {
 	if d := m.docCache[id].Load(); d != nil {
 		return d
 	}
-	c := id / m.chunkDocs
-	comp := m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]]
-	zr := flate.NewReader(bytes.NewReader(comp))
-	defer zr.Close()
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil
-	}
-	r := byteReader{b: raw}
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.open(m.chunk(id / m.chunkDocs))
 	for k := id % m.chunkDocs; k > 0; k-- {
-		if !skipStoredDoc(&r) {
+		if !z.skip() {
 			return nil
 		}
 	}
+	d := z.decode()
+	if d != nil {
+		m.docCache[id].Store(d)
+	}
+	return d
+}
+
+// CachedDocs reports how many stored documents a mapped index holds
+// decoded — the documents Doc has served so far. Always 0 on a heap
+// index, whose documents all live in memory.
+func (ix *Index) CachedDocs() int {
+	n := 0
+	if m := ix.mapped; m != nil {
+		for i := range m.docCache {
+			if m.docCache[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// eachStoredDoc decodes, in ID order, every stored document want selects
+// and hands it to fn — the sequential walk a merge needs, inflating each
+// chunk once instead of once per document. Documents are not cached.
+// A document in a corrupt chunk arrives as nil, exactly as Doc reports it.
+func (m *mappedIndex) eachStoredDoc(want func(id int) bool, fn func(id int, d *Document)) {
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	for c := 0; c*m.chunkDocs < m.numDocs; c++ {
+		z.open(m.chunk(c))
+		ok := true
+		for id := c * m.chunkDocs; id < min((c+1)*m.chunkDocs, m.numDocs); id++ {
+			if !want(id) {
+				ok = ok && z.skip()
+				continue
+			}
+			var d *Document
+			if ok {
+				d = z.decode()
+				ok = d != nil
+			}
+			fn(id, d)
+		}
+	}
+}
+
+// chunk returns stored chunk c's compressed bytes (past its u64 length
+// prefix) in the mapped region.
+func (m *mappedIndex) chunk(c int) []byte {
+	return m.raw[m.chunkOffs[c]+8 : m.chunkOffs[c+1]]
+}
+
+// inflater is a cursor over one stored chunk, inflated lazily: the
+// flate reader, its source, and the chunk's bytes inflated so far.
+// Pooled, so serving a stored document allocates only the Document.
+type inflater struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	buf  []byte
+	pos  int  // cursor: offset of the next document in buf
+	done bool // the stream has ended or failed; buf is all there is
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// open points z at the start of a compressed chunk. Resetting the flate
+// reader and the buffer discards all state of the previous chunk, error
+// state included, so a failed decode never leaks into the next user of
+// the pooled inflater.
+func (z *inflater) open(comp []byte) {
+	z.src.Reset(comp)
+	z.buf, z.pos, z.done = z.buf[:0], 0, false
+	if z.zr == nil {
+		z.zr = flate.NewReader(&z.src)
+	} else if z.zr.(flate.Resetter).Reset(&z.src, nil) != nil {
+		z.done = true
+	}
+}
+
+// skip advances the cursor past one stored document, inflating the
+// chunk only as far as the document's end. Reports false when the chunk
+// ends, breaks or holds a malformed document first.
+func (z *inflater) skip() bool {
+	for {
+		r := byteReader{b: z.buf, pos: z.pos}
+		if skipStoredDoc(&r) {
+			z.pos = r.pos
+			return true
+		}
+		if z.done {
+			return false
+		}
+		z.buf = slices.Grow(z.buf, 32<<10)
+		n, err := z.zr.Read(z.buf[len(z.buf):cap(z.buf)])
+		z.buf = z.buf[:len(z.buf)+n]
+		z.done = err != nil
+	}
+}
+
+// decode decodes the stored document at the cursor and advances past
+// it; nil when skip would report false.
+func (z *inflater) decode() *Document {
+	start := z.pos
+	if !z.skip() {
+		return nil
+	}
+	r := byteReader{b: z.buf, pos: start}
+	return decodeStoredDoc(&r)
+}
+
+// decodeStoredDoc decodes one stored document's wire bytes (u32 field
+// count, then name/text strings and a boost f64 per field) at r, copying
+// every string out of r's buffer. Returns nil on corruption.
+func decodeStoredDoc(r *byteReader) *Document {
 	nf := r.u32()
 	if r.bad || nf > 1<<16 {
 		return nil
@@ -933,22 +1057,21 @@ func (m *mappedIndex) storedDocAt(id int) *Document {
 		}
 		d.Fields = append(d.Fields, f)
 	}
-	m.docCache[id].Store(d)
 	return d
 }
 
-// skipStoredDoc advances r over one stored document's wire bytes (u32
-// field count, then name/text strings and a boost f64 per field) without
-// building the Document. Reports false on corruption.
+// skipStoredDoc advances r over one stored document's wire bytes without
+// building the Document or any of its strings. Reports false on
+// corruption.
 func skipStoredDoc(r *byteReader) bool {
 	nf := r.u32()
 	if r.bad || nf > 1<<16 {
 		return false
 	}
 	for j := uint32(0); j < nf; j++ {
-		r.str()
-		r.str()
-		r.f64()
+		r.skipStr()
+		r.skipStr()
+		r.u64()
 		if r.bad {
 			return false
 		}

@@ -312,7 +312,15 @@ func TestMappedCorruptionFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	probe := func(raw, toc []byte) {
+	clean, err := OpenMapped(raw, toc, StandardAnalyzer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// probe serves everything it can from one damaged image. allDocs asks
+	// for every document, so the skip path runs at every chunk position;
+	// a flip before the stored region leaves the documents intact, and
+	// one Doc per chunk suffices there.
+	probe := func(raw, toc []byte, allDocs bool) {
 		m, err := OpenMapped(raw, toc, StandardAnalyzer{})
 		if err != nil {
 			return
@@ -326,18 +334,23 @@ func TestMappedCorruptionFailsClosed(t *testing.T) {
 			m.ExhaustiveSearch(q, 10)
 		}
 		m.LocalStats()
-		m.Doc(0)
+		for d := 0; d < m.NumDocs(); d++ {
+			if allDocs || d%storedChunkDocs == 0 {
+				m.Doc(d)
+			}
+		}
+		m.eachDoc(func(int) bool { return true }, func(int, *Document) {})
 		m.Stats()
 	}
 	for off := 0; off < len(raw); off += 13 {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x41
-		probe(mut, toc)
+		probe(mut, toc, off >= clean.mapped.storedOff)
 	}
 	for off := 0; off < len(toc); off += 7 {
 		mut := append([]byte(nil), toc...)
 		mut[off] ^= 0x41
-		probe(raw, mut)
+		probe(raw, mut, true)
 	}
 }
 
@@ -380,6 +393,12 @@ func FuzzOpenMapped(f *testing.F) {
 		}
 		m.LocalStats()
 		m.DocMeta(0, "_gid")
-		m.Doc(0)
+		// Every document, so the skip path runs at every chunk position
+		// — bounded, so a header claiming 2^28 documents cannot stall
+		// the run.
+		for d := 0; d < min(m.NumDocs(), 1024); d++ {
+			m.Doc(d)
+		}
+		m.eachDoc(func(d int) bool { return d < 1024 }, func(int, *Document) {})
 	})
 }

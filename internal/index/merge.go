@@ -42,19 +42,17 @@ func MergeIndexes(sources []*Index, dead [][]bool) (*Index, [][]int) {
 			mask := dead[si]
 			isDead = func(id int) bool { return mask[id] }
 		}
-		// src.Doc materializes a mapped source's stored region — the merge
-		// output is a heap index that needs the documents regardless.
-		n := src.docCount()
-		remap := make([]int, n)
-		for id := 0; id < n; id++ {
-			if isDead(id) {
-				remap[id] = -1
-				continue
-			}
-			remap[id] = len(out.docs)
-			out.docs = append(out.docs, src.Doc(id))
-			out.deleted = append(out.deleted, false)
+		// A mapped source's stored region materializes chunk by chunk — the
+		// merge output is a heap index that needs the documents regardless.
+		remap := make([]int, src.docCount())
+		for id := range remap {
+			remap[id] = -1
 		}
+		src.eachDoc(func(id int) bool { return !isDead(id) }, func(id int, d *Document) {
+			remap[id] = len(out.docs)
+			out.docs = append(out.docs, d)
+			out.deleted = append(out.deleted, false)
+		})
 		remaps[si] = remap
 
 		for name, sfi := range src.fields {

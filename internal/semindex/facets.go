@@ -41,10 +41,5 @@ func (s *SemanticIndex) Related(docID int, limit int) []Hit {
 	if q == nil {
 		return nil
 	}
-	raw := s.Index.Search(q, limit)
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
-	}
-	return hits
+	return s.withDocs(s.Index.Search(q, limit))
 }

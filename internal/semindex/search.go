@@ -25,9 +25,20 @@ type Hit struct {
 // pruning (see index.Index.Search), so asking for the top 10 costs far
 // less than ranking every match and slicing.
 func (s *SemanticIndex) Search(query string, limit int) []Hit {
+	return s.withDocs(s.Rank(query, limit))
+}
+
+// Rank is Search without the stored documents: the same query, ranking
+// and limit pushdown, returning only (DocID, Score) pairs. Callers that
+// merge several rankings (the sharded engine) rank first and fetch the
+// documents of the merged top-k only.
+func (s *SemanticIndex) Rank(query string, limit int) []index.Hit {
 	queryCounter(s.Level).Inc()
-	q := s.buildQuery(query)
-	raw := s.Index.Search(q, limit)
+	return s.Index.Search(s.buildQuery(query), limit)
+}
+
+// withDocs attaches each ranked hit's stored document.
+func (s *SemanticIndex) withDocs(raw []index.Hit) []Hit {
 	hits := make([]Hit, len(raw))
 	for i, h := range raw {
 		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
@@ -128,12 +139,7 @@ func (s *SemanticIndex) phrasalQuery(query string) index.Query {
 // weights instead of the level's defaults — the hook the boost-ablation
 // experiment uses to show what the Section 3.6.2 ranking buys.
 func (s *SemanticIndex) SearchWithBoosts(query string, limit int, boosts []index.FieldBoost) []Hit {
-	raw := s.Index.Search(index.MultiFieldQuery(query, boosts), limit)
-	hits := make([]Hit, len(raw))
-	for i, h := range raw {
-		hits[i] = Hit{DocID: h.DocID, Score: h.Score, Doc: s.Index.Doc(h.DocID)}
-	}
-	return hits
+	return s.withDocs(s.Index.Search(index.MultiFieldQuery(query, boosts), limit))
 }
 
 // Meta reads a stored metadata field of a hit document.

@@ -16,23 +16,28 @@ func (s *SemanticIndex) Suggest(query string) string {
 	if s.Level == Trad {
 		boosts = TradBoosts
 	}
-	return CorrectQuery(s.Index.Analyzer(), boosts, query, s.Index.DocFreq, s.Index.Terms)
+	return CorrectQuery(s.Index.Analyzer(), boosts, query, s.Index.DocFreq,
+		func(field string, visit func(term string)) {
+			for _, t := range s.Index.Terms(field) {
+				visit(t)
+			}
+		})
 }
 
 // CorrectQuery is the spelling-correction core shared by the monolithic
 // index and the sharded engine, parameterized by where the vocabulary
-// lives: docFreq reports a term's document frequency in a field and terms
-// lists a field's dictionary in ascending order. The monolith passes its
+// lives: docFreq reports a term's document frequency in a field and
+// eachTerm visits a field's dictionary in any order. The monolith passes its
 // local index; the engine passes the exchanged corpus-wide statistics, so
 // both produce identical corrections for identical vocabularies — a
 // guarantee TestSuggestEquivalence holds the two callers to.
 //
 // A token is corrected when its analyzed form has no postings in any
 // searched field; the replacement is the highest-df term within edit
-// distance 1, scanning fields in boost order and terms in lexicographic
-// order with strictly-greater df wins, which fixes the tie-breaks.
+// distance 1 (see nearestTerm for the tie-breaks, which make the answer
+// independent of the order eachTerm visits a dictionary in).
 func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
-	docFreq func(field, term string) int, terms func(field string) []string) string {
+	docFreq func(field, term string) int, eachTerm func(field string, visit func(term string))) string {
 	tokens := index.Tokenize(strings.ToLower(query))
 	corrected := make([]string, len(tokens))
 	changed := false
@@ -53,7 +58,7 @@ func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 		if matches {
 			continue
 		}
-		if alt := nearestTerm(target, boosts, docFreq, terms); alt != "" {
+		if alt := nearestTerm(target, boosts, docFreq, eachTerm); alt != "" {
 			corrected[i] = alt
 			changed = true
 		}
@@ -65,22 +70,27 @@ func CorrectQuery(a index.Analyzer, boosts []index.FieldBoost, query string,
 }
 
 // nearestTerm finds the highest-df vocabulary term within edit distance 1
-// of the analyzed target, scanning the subject/object player fields first
-// (names are where typos happen) and then the remaining fields.
+// of the analyzed target, scanning fields in boost order (the
+// subject/object player fields first — names are where typos happen).
+// Within a field the highest df wins and the lexicographically smallest
+// term breaks ties; across fields only a strictly higher df replaces an
+// earlier field's pick. The rule is explicit so dictionaries can be
+// visited unsorted.
 func nearestTerm(target string, boosts []index.FieldBoost,
-	docFreq func(field, term string) int, terms func(field string) []string) string {
+	docFreq func(field, term string) int, eachTerm func(field string, visit func(term string))) string {
 	best := ""
 	bestDF := 0
-	for _, fb := range boosts {
-		for _, term := range terms(fb.Field) {
+	bestField := -1
+	for i, fb := range boosts {
+		eachTerm(fb.Field, func(term string) {
 			if term == target || !index.WithinEditDistance1(term, target) {
-				continue
+				return
 			}
-			if df := docFreq(fb.Field, term); df > bestDF {
-				bestDF = df
-				best = term
+			df := docFreq(fb.Field, term)
+			if df > bestDF || (df == bestDF && bestField == i && term < best) {
+				best, bestDF, bestField = term, df, i
 			}
-		}
+		})
 	}
 	return best
 }

@@ -18,10 +18,10 @@ import (
 type SearchOptions struct {
 	// Limit caps the merged result list; <= 0 returns every match.
 	Limit int
-	// Trace, when non-nil, receives per-shard "shardN" spans and the
-	// "merge" span. Tracing never changes the answer, so it is excluded
-	// from the cache key; a cache hit simply records no shard spans
-	// (there was no scatter to time).
+	// Trace, when non-nil, receives per-shard "shardN" spans, the
+	// "merge" span and the "fetch" span (stored-document fetch). Tracing
+	// never changes the answer, so it is excluded from the cache key; a
+	// cache hit simply records no spans (there was no scatter to time).
 	Trace *obs.Trace
 	// NoCache bypasses the query-result cache and the singleflight layer
 	// for this call — the always-cold path benchmarks and invalidation
@@ -54,7 +54,9 @@ const (
 // SearchResult is the unified Search answer: the globally-ranked hits,
 // the degradation report, and how the cache participated.
 type SearchResult struct {
-	// Hits is the merged global ranking (global docIDs).
+	// Hits is the merged global ranking (global docIDs). Each hit's Doc
+	// is fetched after the merge, for the returned hits only: no stored
+	// document outside the answer is decoded.
 	Hits []semindex.Hit
 	// Report describes completeness: degraded answers name the shards
 	// that missed the deadline. Degraded answers are never cached.
@@ -337,6 +339,7 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 		rep.Missing = mergeMissing(e.quarantined, rep.Missing)
 	}
 	hits := e.merge(tr, per, opts.Limit)
+	e.fetchLocked(tr, hits)
 	if snap != nil {
 		snap.epochs = append([]uint64(nil), e.epochs...)
 		snap.fp, snap.fpOK = e.shards[0].QueryFootprint(query)
@@ -360,29 +363,45 @@ func (e *Engine) searchCold(ctx context.Context, query string, opts SearchOption
 // searchShardLocked runs the keyword query against one shard — base
 // plus unmerged segments — and returns its local top-limit with GLOBAL
 // docIDs, ranked exactly as the global merge ranks (score descending,
-// global ID ascending). Read lock must be held for the duration (the
-// scatter holds it).
+// global ID ascending). The hits carry no stored documents: fetchLocked
+// attaches them after the global merge. Read lock must be held for the
+// duration (the scatter holds it).
 func (e *Engine) searchShardLocked(s int, query string, limit int) []semindex.Hit {
 	subs := e.subsLocked(s)
 	if len(subs) == 1 {
 		// Fast path: a sub's result order is already score desc, local
 		// (= global) ID asc; mapping IDs preserves it.
-		return mapToGlobal(subs[0], subs[0].si.Search(query, limit))
+		return toGlobal(subs[0], subs[0].si.Rank(query, limit))
 	}
 	lists := make([][]semindex.Hit, len(subs))
 	for i, sub := range subs {
-		lists[i] = mapToGlobal(sub, sub.si.Search(query, limit))
+		lists[i] = toGlobal(sub, sub.si.Rank(query, limit))
 	}
 	return mergeRanked(lists, limit)
 }
 
-// mapToGlobal rewrites a sub-index's local docIDs to global ones, in
-// place (the slice is freshly allocated by the sub's Search).
-func mapToGlobal(sub *subIndex, hits []semindex.Hit) []semindex.Hit {
-	for i := range hits {
-		hits[i].DocID = sub.gids[hits[i].DocID]
+// toGlobal turns a sub-index's ranked local hits into document-less hits
+// with global docIDs.
+func toGlobal(sub *subIndex, raw []index.Hit) []semindex.Hit {
+	hits := make([]semindex.Hit, len(raw))
+	for i, h := range raw {
+		hits[i] = semindex.Hit{DocID: sub.gids[h.DocID], Score: h.Score}
 	}
 	return hits
+}
+
+// fetchLocked attaches each merged hit's stored document — the engine's
+// one stored-document fetch, run after the merge so only the documents a
+// query returns are ever decoded (a limit-10 query over N shards fetches
+// 10 documents, not 10·N). Read lock required: it must run before the
+// scatter's release so deadline-degraded answers and cache entries see
+// documents of the same engine state their hits were ranked on.
+func (e *Engine) fetchLocked(tr *obs.Trace, hits []semindex.Hit) {
+	defer tr.Span("fetch")()
+	for i := range hits {
+		ref := e.byGID[hits[i].DocID]
+		hits[i].Doc = ref.sub.si.Index.Doc(ref.local)
+	}
 }
 
 // mergeRanked flattens ranked lists of global-ID hits into one ranking:
@@ -462,6 +481,7 @@ func (e *Engine) SearchQuery(q index.Query, limit int) []semindex.Hit {
 	defer e.mu.RUnlock()
 	e.met.searches.Inc()
 	hits := e.merge(nil, e.searchQueryLocked(q, limit), limit)
+	e.fetchLocked(nil, hits)
 	e.met.latency.ObserveDuration(time.Since(start))
 	return hits
 }
@@ -471,12 +491,7 @@ func (e *Engine) searchQueryLocked(q index.Query, limit int) [][]semindex.Hit {
 		subs := e.subsLocked(s)
 		lists := make([][]semindex.Hit, len(subs))
 		for i, sub := range subs {
-			raw := sub.si.Index.Search(q, limit)
-			hits := make([]semindex.Hit, len(raw))
-			for j, h := range raw {
-				hits[j] = semindex.Hit{DocID: sub.gids[h.DocID], Score: h.Score, Doc: sub.si.Index.Doc(h.DocID)}
-			}
-			lists[i] = hits
+			lists[i] = toGlobal(sub, sub.si.Index.Search(q, limit))
 		}
 		return mergeRanked(lists, limit)
 	})
@@ -668,6 +683,7 @@ func (e *Engine) Related(gid int, limit int) []semindex.Hit {
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
+	e.fetchLocked(nil, out)
 	return out
 }
 
@@ -685,21 +701,16 @@ func (e *Engine) Suggest(query string) string {
 		boosts = semindex.TradBoosts
 	}
 	return semindex.CorrectQuery(e.shards[0].Index.Analyzer(), boosts, query,
-		e.global.DocFreq, e.globalTerms)
+		e.global.DocFreq, e.eachGlobalTerm)
 }
 
-// globalTerms lists one field's corpus-wide vocabulary in ascending order
-// — the engine-side terms source for CorrectQuery, mirroring
-// index.Index.Terms over the exchanged statistics.
-func (e *Engine) globalTerms(field string) []string {
-	fs := e.global.Fields[field]
-	if fs == nil {
-		return nil
+// eachGlobalTerm visits one field's corpus-wide vocabulary in map order —
+// the engine-side dictionary for CorrectQuery, whose tie-break rule makes
+// the visiting order irrelevant. Read lock required.
+func (e *Engine) eachGlobalTerm(field string, visit func(term string)) {
+	if fs := e.global.Fields[field]; fs != nil {
+		for t := range fs.DocFreq {
+			visit(t)
+		}
 	}
-	terms := make([]string, 0, len(fs.DocFreq))
-	for t := range fs.DocFreq {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	return terms
 }
